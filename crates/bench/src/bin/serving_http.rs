@@ -18,8 +18,8 @@ use dtdbd_metrics::TableBuilder;
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::HttpClient;
 use dtdbd_serve::{
-    json, session_from_checkpoint, BatchingConfig, Checkpoint, ConnectionModel, FaultPlan,
-    HttpConfig, HttpServer, Precision, ServerBuilder, ServingStats,
+    json, session_from_checkpoint, BatchingConfig, Checkpoint, FaultPlan, HttpConfig, HttpServer,
+    Precision, ServerBuilder, ServingStats,
 };
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
@@ -273,12 +273,11 @@ fn main() {
         telemetry.off_req_per_sec,
     );
 
-    // The c1024 mostly-idle keep-alive level needs the epoll connection
-    // model — the thread-per-connection pool cannot hold a thousand open
-    // sockets — so it gets its own server with deadlines long enough that
-    // an idle-but-healthy connection is never cut mid-level.
-    let keepalive = if ConnectionModel::Epoll.resolved() == "epoll" {
-        eprintln!("[serving_http] c1024 mostly-idle keep-alive level (epoll)...");
+    // The c1024 mostly-idle keep-alive level gets its own server with
+    // deadlines long enough that an idle-but-healthy connection is never cut
+    // mid-level.
+    let keepalive = {
+        eprintln!("[serving_http] c1024 mostly-idle keep-alive level...");
         let predict_ka = ServerBuilder::new()
             .batching(batching.clone())
             .threads(INTRA_THREADS)
@@ -291,7 +290,6 @@ fn main() {
         let server_ka = HttpServer::start(
             predict_ka,
             HttpConfig {
-                connection_model: ConnectionModel::Epoll,
                 backlog: 64,
                 read_timeout: Duration::from_secs(120),
                 request_timeout: Duration::from_secs(120),
@@ -324,26 +322,14 @@ fn main() {
             level.rss_open_kb,
             level.connections
         );
-        Some(level)
-    } else {
-        eprintln!(
-            "[serving_http] c1024 keep-alive level skipped (epoll unavailable on this platform)"
-        );
-        None
+        level
     };
 
     eprintln!("[serving_http] two-model zoo level (equal total workers)...");
     let zoo = run_zoo_level(&checkpoint, precision, &bodies, requests_per_level);
 
-    render_table(&results, &batching, &telemetry, &zoo, keepalive.as_ref());
-    let json_out = render_json(
-        &results,
-        &batching,
-        &serving,
-        &telemetry,
-        &zoo,
-        keepalive.as_ref(),
-    );
+    render_table(&results, &batching, &telemetry, &zoo, &keepalive);
+    let json_out = render_json(&results, &batching, &serving, &telemetry, &zoo, &keepalive);
     std::fs::write("BENCH_http.json", &json_out).expect("write BENCH_http.json");
     eprintln!("[serving_http] wrote BENCH_http.json");
     server.shutdown();
@@ -581,7 +567,7 @@ fn render_table(
     batching: &BatchingConfig,
     telemetry: &TelemetryCost,
     zoo: &ZooResult,
-    keepalive: Option<&IdleKeepAliveResult>,
+    ka: &IdleKeepAliveResult,
 ) {
     let mut table = TableBuilder::new("Serving — HTTP/1.1 front-end (TextCNN-S, keep-alive)")
         .header(["Concurrency", "Requests", "p50", "p99", "req/sec"]);
@@ -595,15 +581,13 @@ fn render_table(
         ]);
     }
     println!("{}", table.render());
-    if let Some(ka) = keepalive {
-        println!(
-            "(c{} mostly idle, epoll: {:.0} req/sec, p99 {}, {:.1} KB resident per open connection)",
-            ka.connections,
-            ka.req_per_sec,
-            fmt_ns(ka.p99_ns),
-            ka.kb_per_conn()
-        );
-    }
+    println!(
+        "(c{} mostly idle, epoll: {:.0} req/sec, p99 {}, {:.1} KB resident per open connection)",
+        ka.connections,
+        ka.req_per_sec,
+        fmt_ns(ka.p99_ns),
+        ka.kb_per_conn()
+    );
     println!(
         "(server: {} workers, {} intra-op threads, max_batch_size {}, max_wait {:.1} ms)",
         batching.workers,
@@ -637,7 +621,7 @@ fn render_json(
     serving: &ServingStats,
     telemetry: &TelemetryCost,
     zoo: &ZooResult,
-    keepalive: Option<&IdleKeepAliveResult>,
+    ka: &IdleKeepAliveResult,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -680,21 +664,17 @@ fn render_json(
         "  \"zoo\": {{\"connections\": {}, \"single_req_per_sec\": {:.1}, \"two_model_req_per_sec\": {:.1}, \"ratio\": {:.3}, \"min_ratio\": {MIN_ZOO_RATIO}}}",
         zoo.connections, zoo.single_req_per_sec, zoo.two_model_req_per_sec, zoo.ratio
     ));
-    if let Some(ka) = keepalive {
-        out.push_str(",\n");
-        out.push_str(&format!(
-            "  \"keepalive_c1024\": {{\"connections\": {}, \"requests\": {}, \"req_per_sec\": {:.1}, \"p99_us\": {:.2}, \"rss_before_kb\": {}, \"rss_open_kb\": {}, \"kb_per_conn\": {:.2}, \"budget_kb_per_conn\": {MAX_KB_PER_CONN}}}\n",
-            ka.connections,
-            ka.requests,
-            ka.req_per_sec,
-            ka.p99_ns / 1e3,
-            ka.rss_before_kb,
-            ka.rss_open_kb,
-            ka.kb_per_conn()
-        ));
-    } else {
-        out.push('\n');
-    }
+    out.push_str(",\n");
+    out.push_str(&format!(
+        "  \"keepalive_c1024\": {{\"connections\": {}, \"requests\": {}, \"req_per_sec\": {:.1}, \"p99_us\": {:.2}, \"rss_before_kb\": {}, \"rss_open_kb\": {}, \"kb_per_conn\": {:.2}, \"budget_kb_per_conn\": {MAX_KB_PER_CONN}}}\n",
+        ka.connections,
+        ka.requests,
+        ka.req_per_sec,
+        ka.p99_ns / 1e3,
+        ka.rss_before_kb,
+        ka.rss_open_kb,
+        ka.kb_per_conn()
+    ));
     out.push_str("}\n");
     out
 }

@@ -9,7 +9,7 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::fault::FaultPlan;
-use crate::http::{ConnectionModel, HttpConfig, HttpServer};
+use crate::http::{HttpConfig, HttpServer};
 use crate::routing::DomainRouting;
 use crate::server::{BatchingConfig, PredictServer, ServerTuning};
 use crate::session::InferenceSession;
@@ -126,6 +126,9 @@ pub enum ConfigError {
         /// The id registered twice.
         id: String,
     },
+    /// `HttpConfig::connection_workers == 0`: no dispatcher would ever run
+    /// a request, so the HTTP front-end could answer nothing.
+    ZeroConnectionWorkers,
 }
 
 impl fmt::Display for ConfigError {
@@ -194,6 +197,9 @@ impl fmt::Display for ConfigError {
             Self::NoTenants => write!(f, "a model zoo needs at least one registered tenant"),
             Self::DuplicateModelId { id } => {
                 write!(f, "model id {id:?} registered more than once")
+            }
+            Self::ZeroConnectionWorkers => {
+                write!(f, "http connection_workers must be at least 1")
             }
         }
     }
@@ -314,10 +320,8 @@ pub fn session_from_checkpoint(
 ///   worker; predictions stay bit-identical (0 = full replicas).
 /// * **`domain_routing`** — pin domains to specialist worker groups with a
 ///   shared fallback queue for everything else.
-/// * **`http` / `http_addr` / `connection_model`** — configuration of the
-///   optional HTTP front-end started by the `*_http` constructors,
-///   including the connection scheduling model (epoll event loop on Linux,
-///   thread-per-connection pool elsewhere).
+/// * **`http` / `http_addr`** — configuration of the optional HTTP
+///   front-end started by the `*_http` constructors.
 ///
 /// ```no_run
 /// # use dtdbd_serve::{Checkpoint, DomainRouting, ServerBuilder};
@@ -366,8 +370,7 @@ impl ServerBuilder {
     /// (1 intra-op thread, 1024-entry prediction cache in 8 lock
     /// partitions, full replicas, no routing). The HTTP front-end (only
     /// started by the `*_http` constructors) defaults to
-    /// [`HttpConfig::default`]: an ephemeral loopback port and
-    /// [`ConnectionModel::Auto`].
+    /// [`HttpConfig::default`] on an ephemeral loopback port.
     pub fn new() -> Self {
         Self {
             batching: BatchingConfig::default(),
@@ -464,8 +467,10 @@ impl ServerBuilder {
     }
 
     /// Replace the whole HTTP front-end configuration (bind address,
-    /// connection model, worker/backlog sizing, wire limits, deadlines).
-    /// Only consulted by the `*_http` constructors.
+    /// dispatcher/backlog sizing, wire limits, deadlines). Only consulted by
+    /// the `*_http` constructors, which reject an invalid one (e.g.
+    /// [`ConfigError::ZeroConnectionWorkers`]) before any prediction worker
+    /// starts.
     pub fn http(mut self, config: HttpConfig) -> Self {
         self.http = config;
         self
@@ -476,19 +481,6 @@ impl ServerBuilder {
     /// constructors.
     pub fn http_addr(mut self, addr: impl Into<String>) -> Self {
         self.http.addr = addr.into();
-        self
-    }
-
-    /// How the HTTP front-end schedules connections: a single epoll event
-    /// loop with timer-wheel deadlines ([`ConnectionModel::Epoll`], the
-    /// Linux default) or a thread-per-connection pool
-    /// ([`ConnectionModel::Pool`], the portable fallback and the default
-    /// elsewhere). [`ConnectionModel::Auto`] picks per platform and honours
-    /// the `DTDBD_CONNECTION_MODEL` environment override. Predictions are
-    /// bit-identical under either model — this is a scheduling knob, not a
-    /// semantic one.
-    pub fn connection_model(mut self, model: ConnectionModel) -> Self {
-        self.http.connection_model = model;
         self
     }
 
@@ -576,7 +568,7 @@ impl ServerBuilder {
     /// `POST /predict/<id>` routes per tenant, `GET /model` lists the zoo,
     /// `POST /admin/reload/<id>` hot-swaps file-backed tenants.
     pub fn try_start_http_zoo(self) -> Result<HttpServer, StartError> {
-        let http = self.http.clone();
+        let http = self.http_config()?;
         let zoo = self.try_start_zoo()?;
         Ok(HttpServer::start_zoo(zoo, http)?)
     }
@@ -655,15 +647,14 @@ impl ServerBuilder {
 
     /// Start the tuned [`PredictServer`] *and* an [`HttpServer`] in front of
     /// it, configured by [`ServerBuilder::http`] /
-    /// [`ServerBuilder::http_addr`] / [`ServerBuilder::connection_model`].
-    /// The returned front-end owns the predict server; shut it down with
-    /// [`HttpServer::shutdown`].
+    /// [`ServerBuilder::http_addr`]. The returned front-end owns the predict
+    /// server; shut it down with [`HttpServer::shutdown`].
     pub fn try_start_http<M, F>(self, factory: F) -> Result<HttpServer, StartError>
     where
         M: FakeNewsModel + Send + 'static,
         F: FnMut(usize) -> InferenceSession<M> + Send + 'static,
     {
-        let http = self.http.clone();
+        let http = self.http_config()?;
         let predict = self.try_start(factory)?;
         Ok(HttpServer::start(predict, http)?)
     }
@@ -675,8 +666,14 @@ impl ServerBuilder {
         self,
         checkpoint: &Checkpoint,
     ) -> Result<HttpServer, StartError> {
-        let http = self.http.clone();
+        let http = self.http_config()?;
         let predict = self.try_start_from_checkpoint(checkpoint)?;
         Ok(HttpServer::start(predict, http)?)
+    }
+
+    /// The validated HTTP configuration, checked before any worker starts.
+    fn http_config(&self) -> Result<HttpConfig, ConfigError> {
+        self.http.validate()?;
+        Ok(self.http.clone())
     }
 }

@@ -1,24 +1,14 @@
 //! Dependency-free HTTP/1.1 front-end for the micro-batching server.
 //!
-//! [`HttpServer`] puts a real wire in front of [`PredictServer`] through one
-//! of two **connection models** (selected by [`HttpConfig::connection_model`]
-//! / [`crate::ServerBuilder::connection_model`]):
-//!
-//! * **epoll** (Linux default, see [`crate::poll`]) — one event-loop thread
-//!   multiplexes every connection nonblocking through a raw-syscall epoll
-//!   instance; complete requests are handed to `connection_workers`
-//!   dispatcher threads, and both HTTP deadlines live on a
-//!   [`crate::timer::TimerWheel`]. Tens of thousands of mostly-idle
-//!   keep-alive sockets cost a slab slot each, not a thread.
-//! * **pool** (portable fallback, default elsewhere) — a blocking
-//!   `std::net::TcpListener` accept loop feeding a bounded pool of
-//!   connection-handler threads (`connection_workers` threads behind a
-//!   `backlog`-deep hand-off queue; when both are full the acceptor answers
-//!   `503` instead of piling up threads).
-//!
-//! Either way each connection speaks HTTP/1.1 with keep-alive, parsed by the
-//! incremental [`RequestParser`] below, and predictions are **bit-identical**
-//! across models — the model only changes how sockets are scheduled.
+//! [`HttpServer`] puts a real wire in front of [`PredictServer`] through the
+//! readiness-polled event loop of the `poll` module: one event-loop thread
+//! multiplexes every connection nonblocking through a raw-syscall epoll
+//! instance, complete requests are handed to `connection_workers`
+//! dispatcher threads, and both HTTP deadlines live on a
+//! [`crate::timer::TimerWheel`]. Tens of thousands of mostly-idle
+//! keep-alive sockets cost a slab slot each, not a thread. Each connection
+//! speaks HTTP/1.1 with keep-alive, parsed by the incremental
+//! [`RequestParser`] below.
 //!
 //! # Wire protocol
 //!
@@ -42,12 +32,12 @@
 //!   comes from [`dtdbd_data::RequestError::wire_code`]);
 //! * `404` / `405` — unknown path / wrong method (with an `Allow` header);
 //! * `408` — a request that did not arrive completely within
-//!   `request_timeout` (slow-loris guard for the bounded pool);
+//!   `request_timeout` (slow-loris guard);
 //! * `413` / `431` — body over `max_body_bytes` / head over `max_head_bytes`;
 //! * `503` — the request was shed; the `code` says why and every variant
 //!   carries a `Retry-After` header (seconds, derived from queue depth and
-//!   drain state): `overloaded` (connection pool / dispatch queue
-//!   saturated, sent before closing the socket), `worker_crashed` (the
+//!   drain state): `overloaded` (dispatch queue full, sent before closing
+//!   the socket), `worker_crashed` (the
 //!   prediction worker serving the request panicked mid-batch; its
 //!   supervisor is respawning it) and `deadline_exceeded` (the request's
 //!   `request_timeout` budget expired while it sat in the micro-batch
@@ -57,10 +47,11 @@
 //! Prometheus `text/plain; version=0.0.4`), always carry `Content-Length`,
 //! and honour HTTP/1.0-vs-1.1 keep-alive defaults plus `Connection: close`.
 //!
-//! Shutdown is graceful and runs on drop: intake stops, the acceptor and
-//! every connection worker is joined, and the wrapped [`PredictServer`] then
+//! Shutdown is graceful and runs on drop: intake stops, the event loop and
+//! every dispatcher is joined, and the wrapped [`PredictServer`] then
 //! drains its queue through its own [`PredictServer::shutdown`] sequence.
 
+use crate::builder::ConfigError;
 use crate::json::{self, Json};
 use crate::prom::{MetricKind, PromText};
 use crate::server::{PredictError, PredictServer};
@@ -71,76 +62,8 @@ use dtdbd_data::EncodedRequest;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How [`HttpServer`] schedules its connections.
-///
-/// | Model | Mechanism | Idle keep-alive cost |
-/// |-------|-----------|----------------------|
-/// | `Epoll` | one event-loop thread, readiness polling ([`crate::poll`]) | a slab slot + a timer-wheel entry |
-/// | `Pool`  | thread-per-connection behind a bounded hand-off queue | a pool thread each |
-///
-/// **Platform defaults:** `Auto` resolves to `Epoll` on Linux
-/// (x86_64/aarch64, where the raw-syscall shims exist) and to `Pool`
-/// everywhere else. The environment variable `DTDBD_CONNECTION_MODEL`
-/// (`"epoll"` or `"pool"`) overrides `Auto` only — an explicit choice in
-/// code wins. Asking for `Epoll` on a platform without epoll support falls
-/// back to `Pool` rather than failing. The resolved model is surfaced in
-/// `/stats` (`http.connection_model`) and `/metrics`
-/// (`dtdbd_http_connection_model`).
-///
-/// Predictions are bit-identical under either model; `connection_workers`
-/// sizes the dispatcher pool (epoll) or the handler pool (pool), and
-/// `backlog` bounds the queued work in front of it either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnectionModel {
-    /// `DTDBD_CONNECTION_MODEL` if set, else the platform default
-    /// (`Epoll` on supported Linux, `Pool` elsewhere).
-    #[default]
-    Auto,
-    /// Readiness-polling event loop (falls back to `Pool` where
-    /// unsupported).
-    Epoll,
-    /// Thread-per-connection behind the bounded accept pool.
-    Pool,
-}
-
-/// Whether this build carries the epoll backend at all.
-const EPOLL_SUPPORTED: bool = cfg!(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
-
-impl ConnectionModel {
-    /// The model a server started with this setting will actually run
-    /// (`"epoll"` or `"pool"`), after the environment override and the
-    /// platform fallback.
-    pub fn resolved(self) -> &'static str {
-        let wanted = match self {
-            ConnectionModel::Epoll => "epoll",
-            ConnectionModel::Pool => "pool",
-            ConnectionModel::Auto => match std::env::var("DTDBD_CONNECTION_MODEL").as_deref() {
-                Ok("pool") => "pool",
-                Ok("epoll") => "epoll",
-                _ => {
-                    if EPOLL_SUPPORTED {
-                        "epoll"
-                    } else {
-                        "pool"
-                    }
-                }
-            },
-        };
-        if wanted == "epoll" && !EPOLL_SUPPORTED {
-            "pool"
-        } else {
-            wanted
-        }
-    }
-}
 
 /// Tuning knobs of the HTTP listener.
 #[derive(Debug, Clone)]
@@ -148,29 +71,25 @@ pub struct HttpConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`HttpServer::local_addr`]).
     pub addr: String,
-    /// Connection scheduling: epoll event loop vs thread-per-connection
-    /// pool (see [`ConnectionModel`] for the platform defaults).
-    pub connection_model: ConnectionModel,
-    /// Size of the connection-handler thread pool (pool model) or of the
-    /// dispatcher pool behind the event loop (epoll model).
+    /// Dispatcher threads behind the event loop: each runs one request's
+    /// routing and blocking predict wait at a time. Must be positive.
     pub connection_workers: usize,
-    /// Accepted connections (pool) / parsed requests (epoll) that may wait
-    /// for a free handler before the server starts answering `503`.
+    /// Parsed requests that may wait for a free dispatcher before the server
+    /// starts answering `503 overloaded`.
     pub backlog: usize,
     /// Largest request head (request line + headers) accepted; `431` beyond.
     pub max_head_bytes: usize,
     /// Largest declared body accepted; `413` beyond.
     pub max_body_bytes: usize,
     /// Idle keep-alive deadline: a connection with no request in progress is
-    /// closed after this long without bytes. Under the pool model this is
-    /// also the per-read socket timeout; under epoll it is a timer-wheel
-    /// deadline (granularity 10 ms, never early).
+    /// closed after this long without bytes (a timer-wheel deadline,
+    /// granularity 10 ms, never early).
     pub read_timeout: Duration,
     /// Overall deadline for one request to arrive completely (first byte to
     /// final body byte). Guards against slow-loris clients that keep each
-    /// individual read under `read_timeout`; `408` beyond. Under epoll this
-    /// also bounds how long a response may sit unflushed against a stalled
-    /// reader (cut without a status — there is no wire left to answer on).
+    /// individual read under `read_timeout`; `408` beyond. It also bounds
+    /// how long a response may sit unflushed against a stalled reader (cut
+    /// without a status — there is no wire left to answer on).
     pub request_timeout: Duration,
 }
 
@@ -178,7 +97,6 @@ impl Default for HttpConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            connection_model: ConnectionModel::Auto,
             connection_workers: 8,
             backlog: 32,
             max_head_bytes: 8 * 1024,
@@ -186,6 +104,17 @@ impl Default for HttpConfig {
             read_timeout: Duration::from_secs(5),
             request_timeout: Duration::from_secs(30),
         }
+    }
+}
+
+impl HttpConfig {
+    /// Reject a configuration the listener cannot serve with. The builder's
+    /// `*_http` constructors call this before any prediction worker starts.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        if self.connection_workers == 0 {
+            return Err(ConfigError::ZeroConnectionWorkers);
+        }
+        Ok(())
     }
 }
 
@@ -511,6 +440,9 @@ fn keep_alive(version: Version, headers: &[(String, String)]) -> bool {
 #[derive(Debug, Default)]
 pub struct HttpStats {
     pub(crate) connections: AtomicU64,
+    /// Requests shed with `503 overloaded` because the dispatch queue was
+    /// full. The field name is part of the `/stats` and `/metrics` wire
+    /// contract.
     pub(crate) connections_rejected: AtomicU64,
     /// Connections currently open (accepted and not yet closed).
     pub(crate) open_connections: AtomicU64,
@@ -521,7 +453,7 @@ pub struct HttpStats {
     pub(crate) idle_timeouts: AtomicU64,
     /// Entries resident in the event loop's timer wheel (a small
     /// overestimate of live deadlines — lazily cancelled entries linger
-    /// until their tick passes; 0 under the pool model).
+    /// until their tick passes).
     pub(crate) timers_armed: AtomicU64,
     predict_calls: AtomicU64,
     items_predicted: AtomicU64,
@@ -702,10 +634,6 @@ impl HttpStats {
                 "http".into(),
                 Json::Obj(vec![
                     (
-                        "connection_model".into(),
-                        Json::Str(ctx.connection_model.to_string()),
-                    ),
-                    (
                         "connections".into(),
                         num(self.connections.load(Ordering::Relaxed)),
                     ),
@@ -798,17 +726,16 @@ pub(crate) struct Ctx {
     pub(crate) zoo: Arc<ModelZoo>,
     pub(crate) stats: HttpStats,
     pub(crate) config: HttpConfig,
-    /// The model this server resolved to (`"epoll"` or `"pool"`).
-    pub(crate) connection_model: &'static str,
-    // Shared with the acceptor AND the connection workers: a busy
-    // keep-alive connection checks it between requests so shutdown is
-    // never blocked behind a client that keeps the wire warm.
+    // Read by the event loop and the dispatchers: a busy keep-alive
+    // connection gets `Connection: close` on its next response, so shutdown
+    // is never blocked behind a client that keeps the wire warm.
     pub(crate) shutdown: AtomicBool,
-    // Readiness only (`GET /readyz` answers 503): requests in flight still
-    // complete, the listener stays up, `/healthz` keeps saying ok. Lets a
-    // load balancer stop routing here before the hard shutdown starts.
-    // The epoll loop additionally drops its accept interest and both
-    // backends release keep-alive clients (`Connection: close` on the next
+    // `GET /readyz` answers 503 and `/healthz` keeps saying ok, so a load
+    // balancer stops routing here before the hard shutdown starts. The
+    // event loop drops its accept interest: the listener fd stays open, so
+    // the kernel may still complete a handshake, but that connection is
+    // never read before shutdown. Requests in flight complete, and open
+    // keep-alive clients are released (`Connection: close` on the next
     // response, shortened idle deadlines).
     pub(crate) draining: AtomicBool,
 }
@@ -847,25 +774,11 @@ fn is_ready(ctx: &Ctx) -> bool {
 pub struct HttpServer {
     ctx: Arc<Ctx>,
     local_addr: SocketAddr,
-    backend: Backend,
-}
-
-/// The running connection backend's thread handles.
-enum Backend {
-    Pool {
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Epoll(crate::poll::EpollBackend),
+    backend: crate::poll::EpollBackend,
 }
 
 impl HttpServer {
-    /// Bind `config.addr` and start serving `predict` over HTTP, under the
-    /// connection model `config.connection_model` resolves to. The server
+    /// Bind `config.addr` and start serving `predict` over HTTP. The server
     /// runs as a single-tenant [`ModelZoo`] under
     /// [`crate::zoo::DEFAULT_MODEL_ID`], so the whole multi-model surface
     /// (`/predict/<id>`, `/model`, per-model stats) answers consistently.
@@ -876,99 +789,27 @@ impl HttpServer {
     /// Bind `config.addr` and serve a multi-tenant [`ModelZoo`]:
     /// `POST /predict/<id>` routes per tenant, bare `POST /predict` serves
     /// the zoo's default id, and `POST /admin/reload/<id>` hot-swaps
-    /// file-backed tenants without dropping traffic.
+    /// file-backed tenants without dropping traffic. Zero
+    /// `connection_workers` is an [`io::ErrorKind::InvalidInput`] error.
     pub fn start_zoo(zoo: ModelZoo, config: HttpConfig) -> io::Result<Self> {
-        assert!(config.connection_workers > 0, "need at least one worker");
+        config
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let connection_model = config.connection_model.resolved();
         let ctx = Arc::new(Ctx {
             zoo: Arc::new(zoo),
             stats: HttpStats::default(),
             config,
-            connection_model,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
         });
-        let backend = match connection_model {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            "epoll" => Backend::Epoll(crate::poll::start(listener, Arc::clone(&ctx))?),
-            _ => Self::start_pool(listener, &ctx),
-        };
+        let backend = crate::poll::start(listener, Arc::clone(&ctx))?;
         Ok(Self {
             ctx,
             local_addr,
             backend,
         })
-    }
-
-    fn start_pool(listener: TcpListener, ctx: &Arc<Ctx>) -> Backend {
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(ctx.config.backlog);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..ctx.config.connection_workers)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let ctx = Arc::clone(ctx);
-                thread::spawn(move || loop {
-                    // Hold the lock only to pull the next connection.
-                    let stream = match rx.lock().expect("hand-off poisoned").recv() {
-                        Ok(stream) => stream,
-                        Err(_) => return, // acceptor gone and queue drained
-                    };
-                    ctx.stats.open_connections.fetch_add(1, Ordering::Relaxed);
-                    handle_connection(stream, &ctx);
-                    ctx.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-
-        let acceptor = {
-            let ctx = Arc::clone(ctx);
-            thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if ctx.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match stream {
-                        Ok(stream) => stream,
-                        Err(_) => continue,
-                    };
-                    HttpStats::bump(&ctx.stats.connections);
-                    // Bounded pool saturated (or every worker dead): shed
-                    // load with a 503 instead of spawning unbounded threads
-                    // or silently dropping the socket.
-                    if let Err(
-                        TrySendError::Full(mut stream) | TrySendError::Disconnected(mut stream),
-                    ) = tx.try_send(stream)
-                    {
-                        HttpStats::bump(&ctx.stats.connections_rejected);
-                        ctx.stats.count_response(503);
-                        let body = error_body("overloaded", "connection pool saturated");
-                        let retry = [(
-                            "Retry-After",
-                            ctx.retry_after(&ctx.default_model()).to_string(),
-                        )];
-                        let _ = write_response(
-                            &mut stream,
-                            503,
-                            &body,
-                            CONTENT_TYPE_JSON,
-                            false,
-                            &retry,
-                        );
-                    }
-                }
-                // Dropping `tx` here releases the workers' recv loops.
-            })
-        };
-
-        Backend::Pool {
-            acceptor: Some(acceptor),
-            workers,
-        }
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
@@ -989,39 +830,26 @@ impl HttpServer {
         &self.ctx.zoo
     }
 
-    /// The connection model actually serving this listener (`"epoll"` or
-    /// `"pool"`), after `Auto` resolution and platform fallback.
-    pub fn connection_model(&self) -> &'static str {
-        self.ctx.connection_model
-    }
-
-    /// Stop accepting, join the acceptor and every connection worker, then
+    /// Stop accepting, join the event loop and every dispatcher, then
     /// drain the wrapped [`PredictServer`] (its [`PredictServer::shutdown`]
     /// runs when the last reference drops here). Dropping the listener calls
-    /// this too. Open keep-alive connections are released at their next
-    /// request boundary (busy clients get `Connection: close`) or within one
-    /// `read_timeout` (idle clients), so the join is bounded even under
-    /// sustained client traffic.
+    /// this too. Idle and half-read connections are closed at once; a
+    /// request already dispatched finishes and its response carries
+    /// `Connection: close`, so the join is bounded even under sustained
+    /// client traffic.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
 
     /// Flip `GET /readyz` to `503`: in-flight and new requests on open
     /// connections still complete and `/healthz` still answers ok, but a
-    /// load balancer polling readiness stops sending traffic here. Under
-    /// the epoll model the event loop additionally drops its **accept
-    /// interest** — open state machines run to completion while no new
-    /// connections are admitted. Call it ahead of [`HttpServer::shutdown`]
-    /// to drain cleanly.
+    /// load balancer polling readiness stops sending traffic here. The event
+    /// loop drops its **accept interest** — open state machines run to
+    /// completion while no new connections are served. Call it ahead of
+    /// [`HttpServer::shutdown`] to drain cleanly.
     pub fn begin_drain(&self) {
         self.ctx.draining.store(true, Ordering::SeqCst);
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        if let Backend::Epoll(backend) = &self.backend {
-            backend.waker.wake(); // let the loop observe the flag now
-        }
+        self.backend.waker.wake(); // let the loop observe the flag now
     }
 
     fn shutdown_impl(&mut self) {
@@ -1029,35 +857,16 @@ impl HttpServer {
         if self.ctx.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        match &mut self.backend {
-            Backend::Pool { acceptor, workers } => {
-                // The acceptor blocks in accept(); a no-op connection wakes
-                // it so it can observe the flag.
-                let _ = TcpStream::connect(self.local_addr);
-                if let Some(acceptor) = acceptor.take() {
-                    let _ = acceptor.join();
-                }
-                for worker in workers.drain(..) {
-                    let _ = worker.join();
-                }
-            }
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Epoll(backend) => {
-                backend.waker.wake();
-                // The loop closes idle connections, finishes in-flight
-                // requests (responses carry `Connection: close`) and exits;
-                // dropping its dispatch channel then releases the
-                // dispatchers.
-                if let Some(event_loop) = backend.event_loop.take() {
-                    let _ = event_loop.join();
-                }
-                for dispatcher in backend.dispatchers.drain(..) {
-                    let _ = dispatcher.join();
-                }
-            }
+        let backend = &mut self.backend;
+        backend.waker.wake();
+        // The loop closes idle connections, finishes in-flight requests
+        // (responses carry `Connection: close`) and exits; dropping its
+        // dispatch channel then releases the dispatchers.
+        if let Some(event_loop) = backend.event_loop.take() {
+            let _ = event_loop.join();
+        }
+        for dispatcher in backend.dispatchers.drain(..) {
+            let _ = dispatcher.join();
         }
     }
 }
@@ -1065,134 +874,25 @@ impl HttpServer {
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown_impl();
-        // After the handler threads are gone, `self.ctx` is (usually) the
+        // After the dispatchers are gone, `self.ctx` is (usually) the
         // last reference: dropping it drains and joins the PredictServer.
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
-    // Each blocking read is capped at a short poll interval rather than the
-    // full `read_timeout`, so a thread parked on an idle keep-alive socket
-    // observes drain/shutdown within one tick instead of one read_timeout.
-    // The idle deadline itself is tracked explicitly against `idle_since`.
-    let poll_cap = ctx.config.read_timeout.min(READ_POLL_INTERVAL);
-    let _ = stream.set_read_timeout(Some(poll_cap));
-    let _ = stream.set_nodelay(true);
-    let trace = ctx.default_model().trace();
-    let mut parser = RequestParser::new(ctx.config.max_head_bytes, ctx.config.max_body_bytes);
-    let mut chunk = [0u8; 8192];
-    // Overall per-request deadline, armed from the first buffered byte of
-    // each request. The per-read timeout alone would let a slow-loris
-    // client trickle one byte per read forever, pinning a pool worker.
-    let mut request_started: Option<Instant> = None;
-    // Telemetry only: from the first socket read of a request to its
-    // complete parse (so it includes the client's own trickle time; a
-    // pipelined request parsed straight out of the buffer records nothing).
-    let mut parse_started: Option<Instant> = None;
-    let mut idle_since = Instant::now();
-    loop {
-        match parser.poll() {
-            ParseOutcome::Request(request) => {
-                if let Some(t0) = parse_started.take() {
-                    trace.record_ns(Stage::HttpParse, t0.elapsed().as_nanos() as u64);
-                }
-                request_started = None;
-                let (status, body, content_type, extra) = route(&request, ctx);
-                ctx.stats.count_response(status);
-                // During drain or shutdown the response still goes out, but
-                // with `Connection: close` so a busy keep-alive client
-                // cannot hold this worker (and the shutdown join) hostage
-                // or keep hammering a drained listener.
-                let keep = request.keep_alive && !ctx.draining_or_shutdown();
-                let write_started = trace.is_enabled().then(Instant::now);
-                let wrote =
-                    write_response(&mut stream, status, &body, content_type, keep, &extra).is_ok();
-                if let Some(t0) = write_started {
-                    trace.record_ns(Stage::ResponseWrite, t0.elapsed().as_nanos() as u64);
-                }
-                if !wrote || !keep {
-                    return;
-                }
-                idle_since = Instant::now();
-            }
-            ParseOutcome::Failed(e) => {
-                ctx.stats.count_response(e.status);
-                let body = error_body(e.code, &e.message);
-                let _ = write_response(&mut stream, e.status, &body, CONTENT_TYPE_JSON, false, &[]);
-                return;
-            }
-            ParseOutcome::NeedMore => {
-                // Between requests, an idle connection is released as soon
-                // as shutdown starts; while draining it gets the shortened
-                // drain deadline instead of the full read_timeout (a fresh
-                // request racing the drain flag still gets its answer).
-                if parser.buffered() == 0 {
-                    if ctx.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let idle_deadline = if ctx.draining.load(Ordering::SeqCst) {
-                        DRAIN_IDLE_DEADLINE.min(ctx.config.read_timeout)
-                    } else {
-                        ctx.config.read_timeout
-                    };
-                    if idle_since.elapsed() >= idle_deadline {
-                        HttpStats::bump(&ctx.stats.idle_timeouts);
-                        return;
-                    }
-                } else {
-                    let started = *request_started.get_or_insert_with(Instant::now);
-                    if started.elapsed() > ctx.config.request_timeout {
-                        HttpStats::bump(&ctx.stats.request_timeouts);
-                        ctx.stats.count_response(408);
-                        let body = error_body("request_timeout", "request took too long to arrive");
-                        let _ =
-                            write_response(&mut stream, 408, &body, CONTENT_TYPE_JSON, false, &[]);
-                        return;
-                    }
-                }
-                match stream.read(&mut chunk) {
-                    Ok(0) => return, // peer closed
-                    Ok(n) => {
-                        if parse_started.is_none() && trace.is_enabled() {
-                            parse_started = Some(Instant::now());
-                        }
-                        parser.feed(&chunk[..n]);
-                        idle_since = Instant::now();
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        // Poll tick: loop around to re-check the deadlines
-                        // and the drain/shutdown flags.
-                    }
-                    Err(_) => return, // reset: close quietly
-                }
-            }
-        }
     }
 }
 
 pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
 const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4";
 
-/// Cap on a pool thread's blocking socket read, so drain/shutdown flags are
-/// observed within one tick even on a completely idle keep-alive socket.
-const READ_POLL_INTERVAL: Duration = Duration::from_millis(100);
-
 /// While draining, idle keep-alive connections are released after this much
-/// quiet time instead of the full `read_timeout` — both backends use it (the
-/// epoll loop re-arms its timer-wheel idle deadlines to this on the drain
-/// transition).
+/// quiet time instead of the full `read_timeout` (the event loop re-arms
+/// their timer-wheel idle deadlines to this on the drain transition), so a
+/// drained listener does not hold sockets it will never serve again.
 pub(crate) const DRAIN_IDLE_DEADLINE: Duration = Duration::from_millis(100);
 
 pub(crate) type Routed = (u16, String, &'static str, Vec<(&'static str, String)>);
 
 /// How long a shed client should wait before retrying, in seconds — the
 /// **one** function behind every `Retry-After` header this server emits
-/// (accept shed, dispatch shed, predict-path 503s, failed reloads): 5 while
+/// (dispatch shed, predict-path 503s, failed reloads): 5 while
 /// `draining` (drain or shutdown — capacity is not coming back here),
 /// otherwise scaled with the shed queue's depth — an extra second per 64
 /// queued requests, clamped to 1..=30.
@@ -1477,7 +1177,7 @@ fn render_metrics(ctx: &Ctx) -> String {
     page.family(
         "dtdbd_http_connections_rejected_total",
         MetricKind::Counter,
-        "Connections shed with 503 because the handler pool was saturated.",
+        "Requests shed with 503 because the dispatch queue was full.",
     );
     page.sample(
         "dtdbd_http_connections_rejected_total",
@@ -1493,16 +1193,6 @@ fn render_metrics(ctx: &Ctx) -> String {
         "dtdbd_http_open_connections",
         &[],
         load(&http.open_connections),
-    );
-    page.family(
-        "dtdbd_http_connection_model",
-        MetricKind::Gauge,
-        "1 for the connection model serving this listener (epoll or pool).",
-    );
-    page.sample(
-        "dtdbd_http_connection_model",
-        &[("model", ctx.connection_model)],
-        1.0,
     );
     page.family(
         "dtdbd_http_timeouts_total",
@@ -1524,7 +1214,7 @@ fn render_metrics(ctx: &Ctx) -> String {
         "dtdbd_http_timer_wheel_armed",
         MetricKind::Gauge,
         "Entries resident in the event loop's timer wheel, including \
-         lazily-cancelled ones awaiting their tick (0 under the pool model).",
+         lazily-cancelled ones awaiting their tick.",
     );
     page.sample(
         "dtdbd_http_timer_wheel_armed",
@@ -1994,7 +1684,7 @@ fn predict_all(
         .map(|e| model.submit_encoded_with_deadline(e, deadline))
         .collect();
     // A crashed prediction worker must degrade to a typed shed response,
-    // not take the connection worker down with it.
+    // not take the dispatcher down with it.
     handles
         .into_iter()
         .map(|h| {
@@ -2038,10 +1728,8 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Render a complete response — head and body — to one byte buffer. Shared
-/// by the pool backend's blocking writer and the event loop's outgoing
-/// connection buffers, so both models put bit-identical responses on the
-/// wire.
+/// Render a complete response — head and body — to one byte buffer, ready
+/// for a connection's outgoing buffer in the event loop.
 pub(crate) fn response_bytes(
     status: u16,
     body: &str,
@@ -2065,24 +1753,6 @@ pub(crate) fn response_bytes(
     let mut bytes = head.into_bytes();
     bytes.extend_from_slice(body.as_bytes());
     bytes
-}
-
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    content_type: &str,
-    keep_alive: bool,
-    extra_headers: &[(&'static str, String)],
-) -> io::Result<()> {
-    stream.write_all(&response_bytes(
-        status,
-        body,
-        content_type,
-        keep_alive,
-        extra_headers,
-    ))?;
-    stream.flush()
 }
 
 /// A minimal blocking HTTP/1.1 client with keep-alive, for tests, examples
@@ -2233,6 +1903,7 @@ mod tests {
     use dtdbd_models::{ModelConfig, TextCnnModel};
     use dtdbd_tensor::rng::Prng;
     use dtdbd_tensor::ParamStore;
+    use std::thread;
 
     fn parse_bytes(bytes: &[u8]) -> ParseOutcome {
         let mut parser = RequestParser::new(8 * 1024, 1024 * 1024);
@@ -2648,18 +2319,12 @@ mod tests {
     #[test]
     fn readyz_flips_to_503_when_draining_while_healthz_stays_ok() {
         let ds = dataset();
-        // Pool model: the listener keeps accepting while draining (the
-        // readiness flip is the only signal a load balancer needs), which
-        // lets this test prove liveness on fresh connections. Under epoll
-        // the drain additionally drops the accept interest.
-        let server = start_http_as(
-            &ds,
-            HttpConfig {
-                connection_model: ConnectionModel::Pool,
-                ..HttpConfig::default()
-            },
-        );
+        let server = start_http(&ds);
         let mut client = HttpClient::connect(server.local_addr()).unwrap();
+        // The drain drops the accept interest, so the liveness probe's
+        // connection is opened (and served once) before the drain starts.
+        let mut probe = HttpClient::connect(server.local_addr()).unwrap();
+        assert_eq!(probe.get("/healthz").unwrap().status, 200);
 
         let ready = client.get("/readyz").unwrap();
         assert_eq!(ready.status, 200, "{}", ready.body);
@@ -2677,28 +2342,18 @@ mod tests {
         // The response that announced the drain also released the
         // keep-alive client: capacity is not coming back here.
         assert_eq!(draining.header("connection"), Some("close"));
-        // Liveness is untouched: fresh connections still answer and work
-        // still runs to completion (one request per connection now).
-        let mut probe = HttpClient::connect(server.local_addr()).unwrap();
+        // Liveness is untouched: an open connection still gets its answer.
         assert_eq!(probe.get("/healthz").unwrap().status, 200);
-        let item = &ds.items()[0];
-        let body = json::encode_request(&dtdbd_data::InferenceRequest::new(
-            item.tokens.clone(),
-            item.domain,
-        ))
-        .render();
-        let mut probe = HttpClient::connect(server.local_addr()).unwrap();
-        assert_eq!(probe.post("/predict", &body).unwrap().status, 200);
     }
 
-    fn drain_releases_idle_keep_alive_promptly(model: ConnectionModel) {
+    #[test]
+    fn drain_releases_idle_keep_alive_promptly_under_epoll() {
         let ds = dataset();
         // A read_timeout far beyond what the test tolerates: the prompt cut
         // below can only come from the shortened drain deadline.
         let server = start_http_as(
             &ds,
             HttpConfig {
-                connection_model: model,
                 read_timeout: Duration::from_secs(30),
                 ..HttpConfig::default()
             },
@@ -2727,16 +2382,6 @@ mod tests {
             cut_after < Duration::from_secs(5),
             "idle connection survived {cut_after:?} into the drain"
         );
-    }
-
-    #[test]
-    fn drain_releases_idle_keep_alive_promptly_under_epoll() {
-        drain_releases_idle_keep_alive_promptly(ConnectionModel::Epoll);
-    }
-
-    #[test]
-    fn drain_releases_idle_keep_alive_promptly_under_pool() {
-        drain_releases_idle_keep_alive_promptly(ConnectionModel::Pool);
     }
 
     #[test]
@@ -2902,12 +2547,12 @@ mod tests {
             .unwrap_or_else(|| panic!("missing http.{field}"))
     }
 
-    fn slow_loris_is_cut_at_request_timeout(model: ConnectionModel) {
+    #[test]
+    fn slow_loris_requests_hit_the_overall_deadline_under_epoll() {
         let ds = dataset();
         let server = start_http_as(
             &ds,
             HttpConfig {
-                connection_model: model,
                 read_timeout: Duration::from_millis(500),
                 request_timeout: Duration::from_millis(100),
                 ..HttpConfig::default()
@@ -2933,23 +2578,11 @@ mod tests {
     }
 
     #[test]
-    fn slow_loris_requests_hit_the_overall_deadline_under_epoll() {
-        // On platforms without the epoll backend this resolves to the pool
-        // model — the deadline semantics are identical either way.
-        slow_loris_is_cut_at_request_timeout(ConnectionModel::Epoll);
-    }
-
-    #[test]
-    fn slow_loris_requests_hit_the_overall_deadline_under_pool() {
-        slow_loris_is_cut_at_request_timeout(ConnectionModel::Pool);
-    }
-
-    fn idle_keep_alive_is_cut_at_read_timeout(model: ConnectionModel) {
+    fn idle_keep_alive_connections_are_cut_under_epoll() {
         let ds = dataset();
         let server = start_http_as(
             &ds,
             HttpConfig {
-                connection_model: model,
                 read_timeout: Duration::from_millis(150),
                 request_timeout: Duration::from_secs(5),
                 ..HttpConfig::default()
@@ -2986,27 +2619,13 @@ mod tests {
     }
 
     #[test]
-    fn idle_keep_alive_connections_are_cut_under_epoll() {
-        idle_keep_alive_is_cut_at_read_timeout(ConnectionModel::Epoll);
-    }
-
-    #[test]
-    fn idle_keep_alive_connections_are_cut_under_pool() {
-        idle_keep_alive_is_cut_at_read_timeout(ConnectionModel::Pool);
-    }
-
-    #[test]
     fn epoll_holds_many_idle_connections_above_its_dispatcher_count() {
-        if ConnectionModel::Epoll.resolved() != "epoll" {
-            return; // no epoll backend on this platform
-        }
         let ds = dataset();
-        // 2 dispatchers, 50 concurrent keep-alive connections: under the
-        // pool model this count would exhaust the handler threads.
+        // 2 dispatchers, 50 concurrent keep-alive connections: an idle
+        // connection holds a slab slot, never a dispatcher.
         let server = start_http_as(
             &ds,
             HttpConfig {
-                connection_model: ConnectionModel::Epoll,
                 connection_workers: 2,
                 read_timeout: Duration::from_secs(30),
                 ..HttpConfig::default()
@@ -3020,10 +2639,6 @@ mod tests {
         }
         let doc = clients[0].get("/stats").unwrap().json().unwrap();
         let http = doc.get("http").unwrap();
-        assert_eq!(
-            http.get("connection_model").and_then(Json::as_str),
-            Some("epoll")
-        );
         let open = http.get("open_connections").and_then(Json::as_u64).unwrap();
         assert!(open >= 50, "only {open} connections open");
         let armed = http
@@ -3035,6 +2650,81 @@ mod tests {
         for client in &mut clients {
             assert_eq!(client.get("/healthz").unwrap().status, 200);
         }
+    }
+
+    #[test]
+    fn a_full_dispatch_queue_sheds_with_503_overloaded() {
+        let ds = dataset();
+        let cfg = ModelConfig::tiny(&ds);
+        // One dispatcher and no backlog: the dispatch queue holds exactly one
+        // request behind the one in flight, and every forward pass stalls
+        // long enough to keep the dispatcher busy while two more arrive.
+        let server = crate::ServerBuilder::new()
+            .workers(1)
+            .fault_plan(crate::FaultPlan::default().slow_predict(Duration::from_millis(500)))
+            .http(HttpConfig {
+                connection_workers: 1,
+                backlog: 0,
+                ..HttpConfig::default()
+            })
+            .try_start_http(move |_| {
+                let mut store = ParamStore::new();
+                let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
+                InferenceSession::new(model, store)
+            })
+            .expect("valid http configuration");
+        let addr = server.local_addr();
+        let item = &ds.items()[0];
+        let body = json::encode_request(&dtdbd_data::InferenceRequest::new(
+            item.tokens.clone(),
+            item.domain,
+        ))
+        .render();
+        let stalled = thread::spawn(move || {
+            let mut client = HttpClient::connect(addr).unwrap();
+            client.post("/predict", &body).unwrap().status
+        });
+        // The predict counter moves once the only dispatcher has taken the
+        // stalled request off the queue.
+        let t0 = Instant::now();
+        while server.ctx.stats.predict_calls.load(Ordering::SeqCst) == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "predict never dispatched"
+            );
+            thread::sleep(Duration::from_millis(2));
+        }
+        // Two more requests, each on its own connection: one fills the
+        // queue, the other finds it full. Which one the loop reads first is
+        // up to the kernel, so the assertion is on the pair.
+        let contenders: Vec<_> = (0..2)
+            .map(|_| {
+                thread::spawn(move || {
+                    let mut client = HttpClient::connect(addr).unwrap();
+                    client.get("/healthz").unwrap()
+                })
+            })
+            .collect();
+        let mut answers: Vec<ClientResponse> = contenders
+            .into_iter()
+            .map(|handle| handle.join().unwrap())
+            .collect();
+        answers.sort_by_key(|response| response.status);
+        assert_eq!(answers[0].status, 200, "{}", answers[0].body);
+        let shed = &answers[1];
+        assert_eq!(shed.status, 503, "{}", shed.body);
+        assert_eq!(
+            shed.json().unwrap().get("error").and_then(Json::as_str),
+            Some("overloaded")
+        );
+        assert!(shed.retry_after().is_some_and(|secs| secs >= 1));
+        assert_eq!(shed.header("connection"), Some("close"));
+        assert_eq!(stalled.join().unwrap(), 200);
+
+        assert!(stats_u64(&server, "connections_rejected") >= 1);
+        // The stall is over: the server answers again.
+        let mut client = HttpClient::connect(addr).unwrap();
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
     }
 
     #[test]

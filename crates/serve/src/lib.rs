@@ -35,10 +35,16 @@
 //! 5. **HTTP/1.1 front-end** ([`http`], with its JSON codec in [`json`]) —
 //!    [`HttpServer`] binds a `TcpListener` and serves `POST /predict`
 //!    (per-tenant: `POST /predict/<id>`), `GET /model`, `GET /healthz` and
-//!    `GET /stats` over real sockets: a bounded connection-worker pool,
-//!    incremental request parsing with hard head/body limits, keep-alive,
-//!    and JSON whose `f32` round trips are bit-exact. See the [`http`]
-//!    module docs for the full wire protocol.
+//!    `GET /stats` over real sockets: one epoll event loop with a bounded
+//!    dispatcher pool, incremental request parsing with hard head/body
+//!    limits, keep-alive, and JSON whose `f32` round trips are bit-exact.
+//!    See the [`http`] module docs for the full wire protocol.
+//!
+//! # Platforms
+//!
+//! The connection layer is built on raw epoll syscalls, so the crate
+//! supports Linux on x86_64 and aarch64 only; other targets fail to compile
+//! with a message saying so.
 //!
 //! The typical round trip:
 //!
@@ -54,16 +60,21 @@
 //!                               server.predict(&request)?.fake_prob
 //! ```
 
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!(
+    "dtdbd-serve supports Linux on x86_64 and aarch64 only: its connection layer is a \
+     raw-syscall epoll event loop"
+);
+
 pub mod builder;
 pub mod cache;
 pub mod checkpoint;
 pub mod fault;
 pub mod http;
 pub mod json;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 pub(crate) mod poll;
 pub mod prom;
 pub mod routing;
@@ -88,7 +99,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION, MAGIC, MIN_FOR
 pub use dtdbd_models::{SideState, SideStateError};
 pub use dtdbd_tensor::Precision;
 pub use fault::{FaultParseError, FaultPlan};
-pub use http::{ClientResponse, ConnectionModel, HttpClient, HttpConfig, HttpServer};
+pub use http::{ClientResponse, HttpClient, HttpConfig, HttpServer};
 pub use routing::DomainRouting;
 pub use server::{
     BatchingConfig, PredictError, PredictServer, PredictionHandle, RoutingStats, ServingStats,

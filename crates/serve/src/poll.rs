@@ -1,15 +1,14 @@
-//! Readiness-polled connection backend: epoll via raw syscalls.
+//! Readiness-polled connection layer: epoll via raw syscalls.
 //!
-//! This is the Linux default selected by
-//! [`crate::http::ConnectionModel`]: one **event-loop thread** owns the
-//! listener and every connection socket nonblocking, multiplexed through an
-//! epoll instance built directly on the `epoll_create1` / `epoll_ctl` /
-//! `epoll_pwait` syscalls (no `libc` — the workspace builds with zero
-//! external crates, so the three shims below go through `core::arch::asm!`).
+//! This is the only connection layer of [`crate::HttpServer`]: one
+//! **event-loop thread** owns the listener and every connection socket
+//! nonblocking, multiplexed through an epoll instance built directly on the
+//! `epoll_create1` / `epoll_ctl` / `epoll_pwait` syscalls (no `libc` — the
+//! workspace builds with zero external crates, so the three shims below go
+//! through `core::arch::asm!`).
 //! Idle keep-alive sockets cost one slab slot and one epoll registration
 //! each, nothing else: tens of thousands of mostly-idle connections sit at
-//! flat memory where the thread-per-connection pool would need as many
-//! threads.
+//! flat memory instead of costing a thread apiece.
 //!
 //! # Per-connection state machine
 //!
@@ -44,9 +43,10 @@
 //! # Drain and shutdown
 //!
 //! [`crate::HttpServer::begin_drain`] wakes the loop (TCP self-pipe) and the
-//! loop deregisters its **accept interest**: no new connections, while every
-//! in-flight state machine — including open keep-alive connections — keeps
-//! running. Shutdown additionally closes idle/reading connections, lets
+//! loop deregisters its **accept interest**: the listener fd stays open (the
+//! kernel may still complete a handshake) but no new connection is read
+//! before shutdown, while every in-flight state machine — including open
+//! keep-alive connections — keeps running. Shutdown additionally closes idle/reading connections, lets
 //! dispatching/writing ones finish (their responses carry
 //! `Connection: close`), and exits once the slab is empty; dropping the
 //! dispatch channel then releases the dispatcher threads.
@@ -401,8 +401,8 @@ struct Job {
     token: u64,
     request: Box<HttpRequest>,
     /// When the event loop handed the request off (telemetry `queue_wait`:
-    /// under this backend the span covers dispatch-queue **readiness wait**,
-    /// merged with the workers' batch-queue waits in snapshots).
+    /// the span covers the dispatch-queue **readiness wait**, merged with
+    /// the workers' batch-queue waits in snapshots).
     enqueued: Option<Instant>,
 }
 
@@ -481,8 +481,9 @@ pub(crate) fn start(listener: TcpListener, ctx: Arc<Ctx>) -> io::Result<EpollBac
         writer: Mutex::new(wake_tx),
     });
     let completions = Arc::new(Completions::default());
-    // Same shed threshold as the pool backend: `backlog` queued requests on
-    // top of one in flight per dispatcher, 503 beyond.
+    // `backlog` queued requests on top of one in flight per dispatcher, 503
+    // beyond: a bounded queue keeps overload visible to clients as a fast
+    // retryable answer instead of unbounded latency.
     let capacity = ctx.config.backlog + ctx.config.connection_workers;
     let (dispatch_tx, dispatch_rx) = mpsc::sync_channel::<Job>(capacity);
     let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
@@ -712,8 +713,8 @@ impl EventLoop {
             };
             match res {
                 Ok(0) => {
-                    // Peer closed. Like the pool backend, a partial request
-                    // dies with its connection.
+                    // Peer closed: a partial request dies with its
+                    // connection (there is no one left to answer).
                     self.close(idx);
                     return;
                 }
@@ -794,8 +795,8 @@ impl EventLoop {
                     enqueued,
                 };
                 if self.dispatch_tx.try_send(job).is_err() {
-                    // Dispatch queue saturated (or dispatchers dead): shed
-                    // with a 503, mirroring the pool backend's accept shed.
+                    // Dispatch queue full (or dispatchers dead): shed with a
+                    // retryable 503 rather than park the request unbounded.
                     HttpStats::bump(&self.ctx.stats.connections_rejected);
                     self.ctx.stats.count_response(503);
                     let body = error_body("overloaded", "dispatch queue saturated");
@@ -831,8 +832,8 @@ impl EventLoop {
     }
 
     /// Install response bytes and start flushing. `measure` arms the
-    /// telemetry `response_write` span (routed responses only, matching the
-    /// pool backend).
+    /// telemetry `response_write` span (routed responses only: sheds and
+    /// wire errors are not part of the serving pipeline's stage budget).
     fn queue_response(&mut self, idx: usize, bytes: Vec<u8>, keep: bool, measure: bool) {
         {
             let trace_on = self.trace.is_enabled();
@@ -924,7 +925,7 @@ impl EventLoop {
         if buffered > 0 {
             // Pipelined bytes: re-enter the reading states immediately (a
             // request parsed straight out of the buffer records no
-            // http_parse span, matching the pool backend).
+            // http_parse span: no socket read was waited on).
             if let Some(conn) = self.slab.conn_mut(idx) {
                 conn.state = State::ReadingHead;
                 if conn.parser.head_complete() {

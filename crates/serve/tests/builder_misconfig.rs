@@ -6,9 +6,13 @@ use dtdbd_data::{
     weibo21_spec, Batch, GeneratorConfig, InferenceRequest, MultiDomainDataset, NewsGenerator,
 };
 use dtdbd_models::{FakeNewsModel, ModelConfig, ModelOutput, TextCnnModel};
-use dtdbd_serve::{ConfigError, DomainRouting, InferenceSession, Precision, ServerBuilder};
+use dtdbd_serve::{
+    ConfigError, DomainRouting, HttpConfig, InferenceSession, Precision, ServerBuilder, StartError,
+};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::{Graph, ParamStore, Tensor};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn dataset() -> MultiDomainDataset {
     NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(4, 0.02)
@@ -186,6 +190,51 @@ fn routing_an_unknown_domain_is_a_typed_error() {
     );
 }
 
+#[test]
+fn zero_connection_workers_is_a_typed_error_before_any_worker_starts() {
+    let ds = dataset();
+    let cfg = ModelConfig::tiny(&ds);
+    let builder = || {
+        ServerBuilder::new().workers(1).http(HttpConfig {
+            connection_workers: 0,
+            ..HttpConfig::default()
+        })
+    };
+    let expect_config =
+        |result: Result<dtdbd_serve::HttpServer, StartError>, what: &str| match result {
+            Err(StartError::Config(e)) => assert_eq!(e, ConfigError::ZeroConnectionWorkers),
+            Err(other) => panic!("{what}: expected a config error, got {other}"),
+            Ok(_) => panic!("{what}: zero connection workers must be rejected"),
+        };
+    let sessions_built = Arc::new(AtomicUsize::new(0));
+    let counting_factory = {
+        let sessions_built = Arc::clone(&sessions_built);
+        let mut make = factory(&cfg);
+        move |worker| {
+            sessions_built.fetch_add(1, Ordering::SeqCst);
+            make(worker)
+        }
+    };
+    expect_config(builder().try_start_http(counting_factory), "try_start_http");
+    assert_eq!(
+        sessions_built.load(Ordering::SeqCst),
+        0,
+        "the http configuration must be rejected before any worker starts"
+    );
+    // A checkpoint that would restore fine: the http check comes first.
+    let mut store = ParamStore::new();
+    let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
+    let checkpoint = dtdbd_serve::Checkpoint::capture(&model, &store);
+    expect_config(
+        builder().try_start_http_from_checkpoint(&checkpoint),
+        "try_start_http_from_checkpoint",
+    );
+    expect_config(
+        builder().tenant("a", &checkpoint).try_start_http_zoo(),
+        "try_start_http_zoo",
+    );
+}
+
 /// A degenerate model with no parameters at all: nothing to quantize, no
 /// frozen table to shard. Int8 on this arch must be a typed error, not a
 /// silently-fp32 deployment.
@@ -268,4 +317,6 @@ fn config_errors_render_actionable_messages() {
     }
     .to_string();
     assert!(msg.contains("constant") && msg.contains("int8"), "{msg}");
+    let msg = ConfigError::ZeroConnectionWorkers.to_string();
+    assert!(msg.contains("connection_workers"), "{msg}");
 }

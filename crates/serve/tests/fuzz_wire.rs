@@ -13,7 +13,7 @@ use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator};
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::{ParseOutcome, RequestParser};
 use dtdbd_serve::json::{self, Json};
-use dtdbd_serve::{ConnectionModel, HttpClient, InferenceSession, ServerBuilder};
+use dtdbd_serve::{HttpClient, InferenceSession, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::io::{Read, Write};
@@ -174,9 +174,9 @@ fn http_parser_accepts_unmutated_requests_under_any_chunking() {
 /// Live-socket fragmentation battery against the event-driven front-end:
 /// the same mutated-and-valid traffic as the in-memory batteries above, but
 /// delivered over real connections in randomized fragments so every chunk
-/// boundary lands in the **nonblocking** read path (epoll model where the
-/// platform has it). The server must answer every well-formed request,
-/// close cleanly on everything else, and stay healthy throughout.
+/// boundary lands in the event loop's **nonblocking** read path. The server
+/// must answer every well-formed request, close cleanly on everything else,
+/// and stay healthy throughout.
 #[test]
 fn live_server_survives_randomly_fragmented_traffic() {
     let dataset =
@@ -184,7 +184,6 @@ fn live_server_survives_randomly_fragmented_traffic() {
     let cfg = ModelConfig::tiny(&dataset);
     let server = ServerBuilder::new()
         .workers(1)
-        .connection_model(ConnectionModel::Epoll)
         .try_start_http(move |_| {
             let mut store = ParamStore::new();
             let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
